@@ -359,27 +359,42 @@ class FaultInjector:
     stream for a link depends only on ``(plan.seed, src, dst)`` and the
     number of prior sends on that link, so identical runs make identical
     decisions whatever the global event interleaving.
+
+    The per-datagram path is kept short: ``is_null()`` is evaluated once
+    per plan, partitions are only consulted when the plan has any, and
+    each link's stream and effective parameters are looked up once and
+    cached until the next :meth:`set_plan`.
     """
 
     def __init__(self, plan: Optional[FaultPlan] = None) -> None:
-        self.plan = plan if plan is not None else FaultPlan()
         self.stats = FaultStats()
+        #: One decision stream per link, keyed by :func:`_label_token`.
         self._rngs: Dict[Tuple[str, str], random.Random] = {}
+        #: ``(rng, loss, latency, jitter, duplicate)`` per link, keyed by
+        #: each label's type and value so ``True`` and ``1`` stay apart.
+        self._links: Dict[tuple, tuple] = {}
+        self.set_plan(plan if plan is not None else FaultPlan())
+
+    @property
+    def plan(self) -> FaultPlan:
+        return self._plan
 
     def set_plan(self, plan: FaultPlan) -> None:
         """Swap the plan at runtime (``avmon live chaos --loss ...``).
 
         Decision streams restart: a new plan is a new experiment.
         """
-        self.plan = plan
+        self._plan = plan
+        self._null = plan.is_null()
         self._rngs.clear()
+        self._links.clear()
 
     def _rng(self, src: Optional[Label], dst: Optional[Label]) -> random.Random:
         key = (_label_token(src), _label_token(dst))
         rng = self._rngs.get(key)
         if rng is None:
             text = json.dumps(
-                [self.plan.seed, key[0], key[1]], separators=(",", ":")
+                [self._plan.seed, key[0], key[1]], separators=(",", ":")
             )
             digest = hashlib.blake2b(
                 text.encode("utf-8"), digest_size=8
@@ -399,34 +414,46 @@ class FaultInjector:
         ``()`` means the datagram is lost (partition or random loss); each
         returned float is one copy's extra one-way delay in seconds.
         """
-        plan = self.plan
-        if plan.is_null():
-            self.stats.passed += 1
+        stats = self.stats
+        if self._null:
+            stats.passed += 1
             return (0.0,)
-        if plan.partitioned(src, dst, now):
-            self.stats.partitioned += 1
+        plan = self._plan
+        if plan.partitions and plan.partitioned(src, dst, now):
+            stats.partitioned += 1
             return ()
-        loss, latency, jitter, duplicate = plan.link_params(src, dst)
-        rng = self._rng(src, dst)
+        key = (src.__class__, src, dst.__class__, dst)
+        link = self._links.get(key)
+        if link is None:
+            link = (self._rng(src, dst), *plan.link_params(src, dst))
+            self._links[key] = link
+        rng, loss, latency, jitter, duplicate = link
         if loss > 0.0 and rng.random() < loss:
-            self.stats.dropped += 1
+            stats.dropped += 1
             return ()
-        copies = 1
         if duplicate > 0.0 and rng.random() < duplicate:
-            copies = 2
-            self.stats.duplicated += 1
-        delays = []
-        for _ in range(copies):
-            delay = latency
-            if jitter > 0.0:
-                delay += rng.random() * jitter
-            if plan.reorder > 0.0 and rng.random() < plan.reorder:
-                delay += plan.reorder_window
-            delays.append(delay)
-        if any(delay > 0.0 for delay in delays):
-            self.stats.delayed += 1
-        self.stats.passed += 1
-        return tuple(delays)
+            stats.duplicated += 1
+            # Copies draw in order: the first copy's delay, then the second's.
+            delays = (
+                self._delay(rng, latency, jitter),
+                self._delay(rng, latency, jitter),
+            )
+        else:
+            delays = (self._delay(rng, latency, jitter),)
+        if max(delays) > 0.0:
+            stats.delayed += 1
+        stats.passed += 1
+        return delays
+
+    def _delay(self, rng: random.Random, latency: float, jitter: float) -> float:
+        """One copy's delay: base latency, jitter, then a reorder hold-back."""
+        delay = latency
+        if jitter > 0.0:
+            delay += rng.random() * jitter
+        plan = self._plan
+        if plan.reorder > 0.0 and rng.random() < plan.reorder:
+            delay += plan.reorder_window
+        return delay
 
 
 def _label_token(label: Optional[Label]) -> str:

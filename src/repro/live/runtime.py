@@ -26,8 +26,8 @@ import logging
 import pathlib
 import random
 import time
-from dataclasses import asdict, dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.condition import ConsistencyCondition
 from ..core.config import AvmonConfig
@@ -58,20 +58,45 @@ logger = logging.getLogger(__name__)
 STATE_VERSION = 1
 
 
+#: Fields that may hold one node id, and fields that may hold a tuple of them.
+_ID_FIELDS = ("sender", "origin", "monitor", "target", "subject")
+_ID_TUPLE_FIELDS = ("view", "monitors")
+
+#: Message type -> the id-bearing field names it declares.
+_ID_FIELDS_BY_TYPE: Dict[type, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {}
+
+
+def _id_fields(cls: type) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    resolved = _ID_FIELDS_BY_TYPE.get(cls)
+    if resolved is None:
+        if is_dataclass(cls):
+            declared = {field.name for field in fields(cls)}
+        else:  # no declared fields to go by: probe every candidate
+            declared = set(_ID_FIELDS + _ID_TUPLE_FIELDS)
+        resolved = (
+            tuple(name for name in _ID_FIELDS if name in declared),
+            tuple(name for name in _ID_TUPLE_FIELDS if name in declared),
+        )
+        _ID_FIELDS_BY_TYPE[cls] = resolved
+    return resolved
+
+
 def referenced_ids(message: Any) -> Tuple[NodeId, ...]:
     """Every node id a protocol message mentions.
 
     The live relation index learns the id universe from traffic (the
-    simulator learned it from the cluster); this walks the known id-bearing
-    fields so :class:`~repro.core.relation.MonitorRelation` is never asked
-    about an id it has not seen.
+    simulator learned it from the cluster); this walks the type's
+    id-bearing fields (resolved once per message type) so
+    :class:`~repro.core.relation.MonitorRelation` is never asked about an
+    id it has not seen.
     """
+    scalar_fields, tuple_fields = _id_fields(type(message))
     ids: List[NodeId] = []
-    for name in ("sender", "origin", "monitor", "target", "subject"):
+    for name in scalar_fields:
         value = getattr(message, name, None)
         if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
             ids.append(value)
-    for name in ("view", "monitors"):
+    for name in tuple_fields:
         value = getattr(message, name, None)
         if isinstance(value, tuple):
             ids.extend(

@@ -13,6 +13,14 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+#: The wire decoder is a hand-written binary parser facing the network; CI
+#: fuzzes it harder with ``--hypothesis-profile=codec-fuzz``.
+settings.register_profile(
+    "codec-fuzz",
+    max_examples=2000,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 settings.load_profile("default")
 
 

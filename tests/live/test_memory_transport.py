@@ -15,6 +15,8 @@ ISSUE satellites:
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import json
 import socket
 
 import pytest
@@ -25,6 +27,7 @@ from repro.live.control import StatusReply, StatusRequest
 from repro.live.faults import SUPERVISOR, FaultPlan, LinkFault, Partition
 from repro.live.memory_transport import (
     MemoryNetwork,
+    MemoryOverlay,
     MemoryTransport,
     run_memory_overlay,
     run_virtual,
@@ -170,6 +173,39 @@ def test_crash_respawn_is_deterministic_too():
     assert first.crash_victims == second.crash_victims
     assert first.crashes == 1
     assert first.victim_recovery is not None and first.victim_recovery >= 0.9
+
+
+def test_protocol_behaviour_is_pinned_across_wire_formats():
+    """A 12-node WAN-like overlay with one crash, pinned to the counters it
+    had under the v1 JSON codec: the binary codec and the fault injector's
+    link cache change what each datagram costs, never which datagrams are
+    sent, delivered or dropped.  The summary may differ only in
+    ``bandwidth``, which counts bytes and so shrinks with the frames."""
+    config = overlay_config(
+        nodes=12, seed=5, crash_after=4.0, crash_downtime=2.0
+    )
+    overlay = MemoryOverlay(
+        config, plan=FaultPlan(latency=0.03, jitter=0.02, loss=0.05, seed=42)
+    )
+    report = overlay.run()
+    network = overlay.network
+    stats = network.injector.stats
+    sent = stats.passed + stats.dropped + stats.partitioned + network.undeliverable
+    assert (sent, network.delivered, stats.dropped, network.undeliverable) == (
+        14770,
+        13824,
+        805,
+        141,
+    )
+    assert (report.discovered_pairs, report.violations) == (40, 0)
+    assert report.crash_victims == (0,)
+    summary = report.summary.to_dict()
+    bandwidth = summary.pop("bandwidth")
+    digest = hashlib.sha256(json.dumps(summary, sort_keys=True).encode())
+    assert digest.hexdigest()[:16] == "e1df39a47ce5b1d2"
+    # v1 JSON frames put 67560.4 B/s across the 12 nodes.
+    assert len(bandwidth) == 12
+    assert 0 < sum(bandwidth) < 0.75 * 67560.4
 
 
 # -- the scrape path (satellite: per-node timeout + retry) -------------------

@@ -14,7 +14,13 @@ import json
 
 from repro.live.introducer import Introducer
 from repro.live.runtime import LiveNode, LiveNodeSpec, referenced_ids
-from repro.core.messages import CvFetchReply, Join, Notify
+from repro.core.messages import (
+    CvFetchReply,
+    HistoryRequest,
+    Join,
+    Notify,
+    ReportReply,
+)
 
 
 def _spec(node, addr, state_file="", **overrides):
@@ -144,3 +150,17 @@ def test_referenced_ids_walks_every_id_field():
         8,
         9,
     }
+    assert referenced_ids(
+        ReportReply(sender=1, subject=2, monitors=(3, True, -1, 4))
+    ) == (1, 2, 3, 4)
+    assert referenced_ids(HistoryRequest(sender=-5, subject=6)) == (6,)
+
+
+def test_referenced_ids_probes_objects_without_declared_fields():
+    class Loose:
+        def __init__(self):
+            self.sender = 1
+            self.target = 2
+            self.monitors = (3,)
+
+    assert referenced_ids(Loose()) == (1, 2, 3)
